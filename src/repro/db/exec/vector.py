@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.db.expr import ColumnRef
 from repro.db.plan.binder import BoundJoin, BoundOutput, BoundQuery
+from repro.db.exec.kernels import factorize
 from repro.db.exec.result import QueryResult
 from repro.errors import ExecutionError
 
@@ -261,9 +262,7 @@ def _join_codes(
     # Multi-key: factorize the key tuples over both sides at once so the
     # integer codes agree.
     cols = [np.concatenate([l, r]) for l, r in zip(left_keys, right_keys)]
-    packed = np.rec.fromarrays(cols)
-    _, inverse = np.unique(packed, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    _, inverse, _ = factorize(cols)
     return inverse[:n_left], inverse[n_left:]
 
 
@@ -304,23 +303,13 @@ def _project(query: BoundQuery, columns: Dict[str, np.ndarray]):
     return out
 
 
-def _group_index(query: BoundQuery, columns: Dict[str, np.ndarray]):
-    """Return (group key arrays in group order, inverse index, n_groups)."""
-    keys = [columns[name] for name in query.group_by]
-    if len(keys) == 1:
-        uniq, inverse = np.unique(keys[0], return_inverse=True)
-        return [uniq], inverse, len(uniq)
-    # Multi-key: unique over a structured view.
-    packed = np.rec.fromarrays(keys)
-    uniq, inverse = np.unique(packed, return_inverse=True)
-    return [np.asarray(uniq[f]) for f in uniq.dtype.names], inverse, len(uniq)
-
-
 def _aggregate(query: BoundQuery, columns: Dict[str, np.ndarray]):
     n = len(next(iter(columns.values()))) if columns else 0
 
     if query.group_by:
-        key_arrays, inverse, n_groups = _group_index(query, columns)
+        key_arrays, inverse, n_groups = factorize(
+            [columns[name] for name in query.group_by]
+        )
         key_of = dict(zip(query.group_by, key_arrays))
     else:
         inverse = np.zeros(n, dtype=np.int64)
@@ -416,12 +405,8 @@ def _distinct(names, out: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     reference)."""
     if not names:
         return out
-    if len(names) == 1:
-        uniq = np.unique(out[names[0]])
-        return {names[0]: uniq}
-    packed = np.rec.fromarrays([out[n] for n in names], names=list(names))
-    uniq = np.unique(packed)
-    return {n: np.asarray(uniq[n]) for n in names}
+    uniques, _, _ = factorize([out[n] for n in names])
+    return dict(zip(names, uniques))
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +420,7 @@ def _sort_index(query: BoundQuery, out: Dict[str, np.ndarray]) -> np.ndarray:
         values = np.asarray(values)
         if item.descending:
             # Rank-based negation works for any dtype, including bytes.
-            _, ranks = np.unique(values, return_inverse=True)
+            _, ranks, _ = factorize([values])
             values = -ranks
         keys.append(values)
     return np.lexsort(keys)

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.ledger import CostLedger
 from repro.core.mvcc_filter import visible_mask
 from repro.core.selection import CompareOp
+from repro.db.exec.kernels import factorize
 from repro.db.table import Table
 from repro.errors import PlanError
 from repro.obs import maybe_span
@@ -266,21 +267,6 @@ def _touched_columns(plan: DistPlan) -> Tuple[str, ...]:
     return tuple(seen)
 
 
-def _group_codes(
-    keys: List[np.ndarray],
-) -> Tuple[List[Tuple], np.ndarray]:
-    """Factorize the group-key columns: (sorted unique key tuples, codes)."""
-    if len(keys) == 1:
-        uniq, codes = np.unique(keys[0], return_inverse=True)
-        return [(k.item(),) for k in uniq], codes.reshape(-1)
-    rec = np.rec.fromarrays(keys, names=[f"k{i}" for i in range(len(keys))])
-    uniq, codes = np.unique(rec, return_inverse=True)
-    # .item() on a structured scalar yields a tuple of plain Python
-    # values (bytes for CHAR fields, ints for numerics) — picklable and
-    # deterministically orderable.
-    return [row.item() for row in uniq], codes.reshape(-1)
-
-
 def execute_fragment(
     table: Table,
     plan: DistPlan,
@@ -366,7 +352,11 @@ def execute_fragment(
         if qualifying:
             if plan.group_by:
                 keys = [_raw_column(table, c)[mask] for c in plan.group_by]
-                tuples, codes = _group_codes(keys)
+                uniques, codes, _ = factorize(keys)
+                # .tolist() yields plain Python values (bytes for CHAR,
+                # ints for numerics): picklable and deterministically
+                # orderable group tuples.
+                tuples = list(zip(*(u.tolist() for u in uniques)))
             else:
                 tuples, codes = [()], np.zeros(qualifying, dtype=np.int64)
             ngroups = len(tuples)

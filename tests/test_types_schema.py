@@ -5,6 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
+from repro.core.geometry import DataGeometry
 from repro.db.schema import MVCC_BEGIN, MVCC_END, Column, TableSchema
 from repro.db.types import (
     CHAR,
@@ -113,6 +114,18 @@ class TestSchema:
         assert g.field_names == ("a",)
         full = schema.full_geometry()
         assert MVCC_END in full.field_names
+
+    def test_full_geometry_is_memoised(self):
+        schema = TableSchema(
+            "t", [Column("a", INT64), Column("c", CHAR(3))], row_align=16, mvcc=True
+        )
+        first = schema.full_geometry()
+        assert schema.full_geometry() is first
+        fresh = DataGeometry(
+            row_stride=schema.row_stride,
+            fields=tuple(schema.field_slice(c.name) for c in schema.columns),
+        )
+        assert first == fresh
 
     def test_bytes_of(self):
         schema = TableSchema("t", [Column("a", INT64), Column("b", INT32)])
