@@ -1,15 +1,17 @@
-"""Macrobenchmark: vectorized vs scalar execution on the Q3 join chain.
+"""Macrobenchmark: vectorized execution of the Q3 join chain.
 
-The fused vector kernels (:mod:`repro.db.exec.vector`) must make the
-trace-accurate engines *benchmark-viable* on multi-way joins without
-changing a single answer or charged cycle. Three measurements:
+The fused vector kernels (:mod:`repro.db.exec.vector`) make the
+trace-accurate engines *benchmark-viable* on multi-way joins. Three
+measurements:
 
 1. **Headline**: TPC-H Q3 (lineitem ⋈ orders ⋈ customer + group-by +
-   order-by) through the RM engine in trace mode, vector vs volcano
-   exec mode. Acceptance: >=10x at 1M rows, with bit-identical rows,
-   cycles, cost-ledger buckets, and memory-hierarchy counters.
-2. **Cross-check**: Q3 through all three engines at a reduced row count,
-   asserting the same identities per engine.
+   order-by) through the RM engine in trace mode, twice on fresh
+   engines: the runs must agree on rows, cycles, cost-ledger buckets,
+   and memory-hierarchy counters.
+2. **Cross-check**: Q3 through all three engines at a reduced row count
+   (the engines must agree on rows), plus Q3 at a constant
+   ``ORACLE_ROWS`` refereed by the dict-row
+   :class:`~repro.db.sql.oracle.SqlOracle` (names, dtypes, values).
 3. **Code cache**: the same query twice through a vector engine with a
    :class:`~repro.db.plan.codecache.CodeFragmentCache` — the warm run
    must skip plan compilation (plan_compile bucket = 0) and be faster.
@@ -17,7 +19,7 @@ changing a single answer or charged cycle. Three measurements:
 Run as a script (writes the artifact consumed by CI)::
 
     PYTHONPATH=src python benchmarks/bench_vector.py \
-        --rows 1000000 --json BENCH_vector.json --min-speedup 10
+        --rows 1000000 --json BENCH_vector.json
 
 or under pytest-benchmark (reduced rows)::
 
@@ -36,9 +38,13 @@ from typing import Dict
 from repro.core.ledger import CostLedger
 from repro.db.engines import all_engines
 from repro.db.plan.codecache import CodeFragmentCache
+from repro.db.sql.oracle import SqlOracle
 from repro.workloads.tpch_analytics import Q3, generate_tpch_analytics
 
 ENGINES = ("row", "column", "rm")
+#: Lineitem rows of the oracle-refereed Q3 (the dict-row oracle's
+#: nested-loop joins are quadratic, so this stays small and fixed).
+ORACLE_ROWS = 2_000
 
 
 def _hierarchy_snapshot(hierarchy) -> Dict[str, object]:
@@ -52,8 +58,8 @@ def _hierarchy_snapshot(hierarchy) -> Dict[str, object]:
     }
 
 
-def _run_one(catalog, name: str, exec_mode: str) -> Dict[str, object]:
-    engine = all_engines(catalog, memory_model="trace", exec_mode=exec_mode)[name]
+def _run_one(catalog, name: str) -> Dict[str, object]:
+    engine = all_engines(catalog, memory_model="trace")[name]
     t0 = time.perf_counter()
     result = engine.execute(Q3)
     return {
@@ -65,26 +71,20 @@ def _run_one(catalog, name: str, exec_mode: str) -> Dict[str, object]:
     }
 
 
-def _identical(vec: Dict[str, object], vol: Dict[str, object], label: str) -> list:
-    mismatches = []
-    for field in ("cycles", "buckets", "rows", "hierarchy"):
-        if vec[field] != vol[field]:
-            mismatches.append(f"{label}.{field}: vector != volcano")
-    return mismatches
-
-
 def run_headline(nrows: int, engine: str = "rm") -> Dict[str, object]:
-    """Q3 at full size, one engine, both exec modes."""
+    """Q3 at full size, one engine, two fresh runs."""
     catalog, *_ = generate_tpch_analytics(nrows)
-    vec = _run_one(catalog, engine, "vector")
-    vol = _run_one(catalog, engine, "volcano")
-    mismatches = _identical(vec, vol, engine)
+    vec = _run_one(catalog, engine)
+    again = _run_one(catalog, engine)
+    mismatches = [
+        f"{engine}.{field}: differs between two fresh runs"
+        for field in ("cycles", "buckets", "rows", "hierarchy")
+        if vec[field] != again[field]
+    ]
     return {
         "rows": nrows,
         "engine": engine,
         "vector_seconds": vec["seconds"],
-        "volcano_seconds": vol["seconds"],
-        "speedup": vol["seconds"] / vec["seconds"],
         "cycles": vec["cycles"],
         "result_rows": len(vec["rows"]),
         "bit_identical": not mismatches,
@@ -92,20 +92,24 @@ def run_headline(nrows: int, engine: str = "rm") -> Dict[str, object]:
     }
 
 
-def run_cross_check(nrows: int) -> Dict[str, object]:
-    """Q3 through all three engines, vector vs volcano per engine."""
+def run_cross_check(nrows: int, engine: str = "rm") -> Dict[str, object]:
+    """Q3 through all three engines (same rows), and ``engine``'s Q3 at
+    ``ORACLE_ROWS`` refereed by the SQL oracle."""
     catalog, *_ = generate_tpch_analytics(nrows)
     out: Dict[str, object] = {"rows": nrows, "engines": {}, "mismatches": []}
-    for name in ENGINES:
-        vec = _run_one(catalog, name, "vector")
-        vol = _run_one(catalog, name, "volcano")
-        out["mismatches"].extend(_identical(vec, vol, name))
+    runs = {name: _run_one(catalog, name) for name in ENGINES}
+    for name, run in runs.items():
+        if run["rows"] != runs[ENGINES[0]]["rows"]:
+            out["mismatches"].append(f"{name}.rows: != {ENGINES[0]}.rows")
         out["engines"][name] = {
-            "vector_seconds": vec["seconds"],
-            "volcano_seconds": vol["seconds"],
-            "speedup": vol["seconds"] / vec["seconds"],
-            "cycles": vec["cycles"],
+            "vector_seconds": run["seconds"],
+            "cycles": run["cycles"],
         }
+    small, *_ = generate_tpch_analytics(ORACLE_ROWS)
+    answer = all_engines(small)[engine].execute(Q3).result
+    problem = SqlOracle.from_catalog(small).check(Q3, answer)
+    if problem is not None:
+        out["mismatches"].append(f"{engine}.oracle@{ORACLE_ROWS}: {problem}")
     out["bit_identical"] = not out["mismatches"]
     return out
 
@@ -146,7 +150,6 @@ def compare(rows: int, check_rows: int) -> Dict[str, object]:
         "headline": headline,
         "cross_check": cross,
         "codecache": cache,
-        "speedup": headline["speedup"],
         "bit_identical": (
             headline["bit_identical"]
             and cross["bit_identical"]
@@ -159,7 +162,7 @@ def compare(rows: int, check_rows: int) -> Dict[str, object]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="vectorized vs scalar Q3 execution benchmark"
+        description="vectorized Q3 execution benchmark"
     )
     parser.add_argument(
         "--rows", type=int, default=1_000_000, help="headline lineitem rows"
@@ -171,27 +174,17 @@ def main(argv=None) -> int:
         help="rows for the three-engine cross-check and codecache runs",
     )
     parser.add_argument("--json", type=str, default="", help="write report here")
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="exit nonzero below this vector-vs-volcano headline speedup",
-    )
     args = parser.parse_args(argv)
 
     report = compare(args.rows, args.check_rows)
     h = report["headline"]
     print(
         f"Q3 {h['engine']}, {h['rows']} lineitem rows: "
-        f"volcano {h['volcano_seconds']:.3f}s   vector {h['vector_seconds']:.3f}s   "
-        f"speedup {h['speedup']:.1f}x"
+        f"vector {h['vector_seconds']:.3f}s"
     )
     print(f"Q3 cross-check, {report['cross_check']['rows']} rows:")
     for name, e in report["cross_check"]["engines"].items():
-        print(
-            f"  {name:>6}: volcano {e['volcano_seconds']:8.3f}s   "
-            f"vector {e['vector_seconds']:8.3f}s   ({e['speedup']:5.1f}x)"
-        )
+        print(f"  {name:>6}: vector {e['vector_seconds']:8.3f}s")
     c = report["codecache"]
     print(
         f"codecache: cold {c['cold_seconds']:.3f}s "
@@ -205,16 +198,9 @@ def main(argv=None) -> int:
             json.dump(report, f, indent=2)
         print(f"wrote {args.json}")
     if not report["bit_identical"]:
-        print("FAIL: vector and volcano results diverged", file=sys.stderr)
+        print("FAIL: Q3 answers or costs diverged", file=sys.stderr)
         for m in report["mismatches"]:
             print(f"  {m}", file=sys.stderr)
-        return 1
-    if args.min_speedup and report["speedup"] < args.min_speedup:
-        print(
-            f"FAIL: headline speedup {report['speedup']:.1f}x < required "
-            f"{args.min_speedup:g}x",
-            file=sys.stderr,
-        )
         return 1
     return 0
 
@@ -222,21 +208,18 @@ def main(argv=None) -> int:
 # ----------------------------------------------------------------------
 # pytest-benchmark entry point (reduced rows for CI bench runs).
 # ----------------------------------------------------------------------
-def test_vector_speedup(benchmark, save_result):
+def test_vector_exec(benchmark, save_result):
     report = benchmark.pedantic(compare, args=(60_000, 20_000), rounds=1, iterations=1)
     h = report["headline"]
     lines = [
-        "vector-exec-speedup",
-        "===================",
+        "vector-exec",
+        "===========",
         f"headline rows: {h['rows']}",
-        f"volcano: {h['volcano_seconds']:.3f}s",
         f"vector: {h['vector_seconds']:.3f}s",
-        f"speedup: {h['speedup']:.1f}x",
         f"bit_identical: {report['bit_identical']}",
     ]
     save_result("vector_exec", "\n".join(lines))
     assert report["bit_identical"], report["mismatches"]
-    assert report["speedup"] > 2.0
     assert report["codecache"]["warm_skips_compile"]
 
 

@@ -34,7 +34,6 @@ from repro.db.plan.codecache import CodeFragmentCache, Fragment
 from repro.db.plan.logical import explain
 from repro.db.exec.result import QueryResult
 from repro.db.exec.vector import FusedKernel, apply_where, run_vector
-from repro.db.exec.volcano import run_volcano
 from repro.db.sql.lexer import normalize_sql
 from repro.db.sql.parser import parse
 from repro.errors import ExecutionError
@@ -99,7 +98,6 @@ class Engine(ABC):
         threads: int = 1,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        exec_mode: str = "vector",
         codecache: Optional["CodeFragmentCache"] = None,
     ):
         self.catalog = catalog
@@ -118,13 +116,6 @@ class Engine(ABC):
             self.memory = TraceMemoryModel(self.platform)
         else:
             raise ExecutionError(f"unknown memory model {memory_model!r}")
-        if exec_mode not in ("vector", "volcano"):
-            raise ExecutionError(f"unknown exec mode {exec_mode!r}")
-        #: Answer-path executor: the fused vectorized kernels (default)
-        #: or the scalar Volcano reference. Cost charging is identical —
-        #: only how the answer is computed differs, so the two modes are
-        #: bit-identical in rows, cycles, and cache counters.
-        self.exec_mode = exec_mode
         #: Optional :class:`repro.db.plan.codecache.CodeFragmentCache`.
         #: When attached, repeated query shapes skip SQL parse/bind (by
         #: query text) and kernel compilation (by fragment signature),
@@ -252,10 +243,8 @@ class Engine(ABC):
             # The answer path (repro.db.exec) is shared and uncosted —
             # its cycles were charged per-operator above — but it still
             # appears in the trace so the tree shows where answers form.
-            with self._span("answer", layer="exec", mode=self.exec_mode) as ans:
-                if self.exec_mode == "volcano":
-                    result = run_volcano(bound, columns)
-                elif fragment is not None:
+            with self._span("answer", layer="exec") as ans:
+                if fragment is not None:
                     result = fragment.payload(columns, mask=mask)
                 else:
                     result = run_vector(bound, columns, mask=mask)
@@ -303,7 +292,7 @@ class Engine(ABC):
         cache (the default) there is no charge and no fragment — default
         cycle totals are untouched.
         """
-        if self.codecache is None or self.exec_mode != "vector":
+        if self.codecache is None:
             return None
         with self._span("plan", layer="plan", layout=self.fragment_layout) as span:
             hit, cycles, fragment = self.codecache.fetch(

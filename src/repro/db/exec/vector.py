@@ -3,8 +3,9 @@
 Engines differ in *how data reaches the CPU* (full rows, column copies,
 or packed ephemeral lines) and in their cost recipes, but all of them
 produce answers through this evaluator so results are bit-identical by
-construction. The Volcano interpreter in :mod:`repro.db.exec.volcano` is
-the independent reference used by tests to validate this module.
+construction. The dict-row :class:`~repro.db.sql.oracle.SqlOracle` is
+the independent reference tests use to validate this module: values,
+output names and per-column dtypes.
 
 Execution is organized as a :class:`FusedKernel`: the query shape is
 compiled once into a chain of closures (filter -> join* -> post-join
@@ -18,8 +19,8 @@ Join kernels are pure numpy: the build side is factorized and stably
 argsorted, probes run through ``searchsorted`` ranges, and matches are
 expanded CSR-style with ``repeat``/``cumsum``. Both the hash-style probe
 and the sort-merge fallback (chosen for high-collision keys) reproduce
-the Volcano nested-bucket output order exactly: left rows ascending,
-and within one left row the matching right rows in table order.
+nested-loop join order exactly: left rows ascending, and within one
+left row the matching right rows in table order.
 """
 
 from __future__ import annotations
@@ -213,9 +214,9 @@ def join_indices(
     """Vectorized equi-join: return (left index, right index) match pairs.
 
     Accepts one array per key column (multi-key joins factorize the key
-    tuples first). Output order is the Volcano reference order: pairs
-    sorted by left index, and within one left index by right index —
-    i.e. exactly what a dict-of-buckets build + in-order probe yields.
+    tuples first). Output order is nested-loop order: pairs sorted by
+    left index, and within one left index by right index — i.e. exactly
+    what a dict-of-buckets build + in-order probe yields.
 
     ``strategy`` is ``"probe"`` (binary-search each probe key against
     the sorted build side), ``"merge"`` (sort the probe side too and
@@ -337,7 +338,7 @@ def _compute_aggregate(
 ) -> np.ndarray:
     """One aggregate column over factorized groups.
 
-    Empty-input contract (pinned by tests against the Volcano reference):
+    Empty-input contract (pinned by tests against the SQL oracle):
     a global aggregate over zero rows yields COUNT=0, SUM=0.0, AVG=NaN,
     MIN=+inf, MAX=-inf — the accumulator identities. Empty *groups*
     cannot occur: factorization only emits groups with at least one row.
@@ -401,8 +402,8 @@ def _hidden_sort_columns(query: BoundQuery, names) -> Tuple[str, ...]:
 
 def _distinct(names, out: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Row-wise deduplication; rows come back in lexicographic order of
-    the output columns (np.unique semantics, matched by the Volcano
-    reference)."""
+    the output columns (np.unique semantics, matched by the SQL
+    oracle)."""
     if not names:
         return out
     uniques, _, _ = factorize([out[n] for n in names])

@@ -11,6 +11,7 @@ index probe, and returns the ranked decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.db.catalog import Catalog
@@ -27,7 +28,15 @@ class AccessDecision:
 
     winner: str
     estimates: Dict[str, CostEstimate]
-    plan: str
+    query: BoundQuery = field(repr=False)
+
+    @cached_property
+    def plan(self) -> str:
+        """EXPLAIN text of the winning path, rendered on first read (a
+        plain SELECT never reads it)."""
+        return explain(
+            self.query, access_path=self.estimates[self.winner].access_path
+        )
 
     def ranked(self) -> List[Tuple[str, float]]:
         return sorted(
@@ -76,8 +85,4 @@ class Optimizer:
             if est is not None:
                 estimates[f"index({col})"] = est
         winner = min(estimates, key=lambda k: estimates[k].cycles)
-        return AccessDecision(
-            winner=winner,
-            estimates=estimates,
-            plan=explain(bound, access_path=estimates[winner].access_path),
-        )
+        return AccessDecision(winner=winner, estimates=estimates, query=bound)

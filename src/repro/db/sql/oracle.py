@@ -1,15 +1,17 @@
-"""Brute-force SQL oracle: the differential fuzzer's independent referee.
+"""Brute-force SQL oracle: the one independent referee of every path.
 
-Evaluates parsed statements over plain Python dict rows — no numpy, no
-binder, no executors, no code shared with the engines beyond the parser
-and the frozen AST dataclasses. Where the engines pad CHAR values to
-fixed-width byte strings, the oracle keeps bare ``str``; where the
-engines carry ``int32`` columns, the oracle keeps ``int``. The value
-contract is exactly :meth:`repro.db.exec.result.QueryResult.rows`:
-decoded strings, Python ints, Python floats.
+Evaluates parsed statements over plain Python dict rows — no binder, no
+executors, no code shared with the engines beyond the parser, the
+frozen AST dataclasses and the type declarations. Where the engines pad
+CHAR values to fixed-width byte strings, the oracle keeps bare ``str``;
+where the engines carry ``int32`` columns, the oracle keeps ``int``. The
+value contract is exactly :meth:`repro.db.exec.result.QueryResult.rows`:
+decoded strings, Python ints, Python floats. NumPy appears only at the
+edges: loading a catalog's arrays and naming the dtype each output
+column must carry.
 
-Semantics deliberately mirror the Volcano reference executor (the
-dialect's definition of truth):
+The semantics are the dialect's definition of truth (:meth:`SqlOracle.dtypes`
+states the type contract):
 
 - ``SUM``/``MIN``/``MAX``/``AVG`` accumulate as floats; ``COUNT`` is an
   int. A global aggregate over zero rows yields one row with ``count=0``,
@@ -17,7 +19,8 @@ dialect's definition of truth):
 - Groups emit sorted by group-key tuple; ``DISTINCT`` emits sorted by
   output tuple.
 - ``ORDER BY`` is a stable multi-key sort (last key first, one stable
-  pass per key); ``OFFSET`` skips before ``LIMIT`` counts.
+  pass per key) that may name FROM columns outside the select list
+  (not under ``DISTINCT``); ``OFFSET`` skips before ``LIMIT`` counts.
 - Joins are left-deep nested loops; merged rows let the right side win
   on column-name collisions (the fuzzer keeps names disjoint anyway).
 - MVCC slot discipline: ``UPDATE`` retires the old version and appends
@@ -31,8 +34,12 @@ because both see the same committed snapshot between statements.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.mvcc_filter import visible_mask
 from repro.db.expr import (
     And,
     Between,
@@ -62,6 +69,7 @@ from repro.db.sql.nodes import (
     UpdateStmt,
 )
 from repro.db.sql.parser import parse_statement
+from repro.db.types import DataType, parse_type
 from repro.errors import SqlError
 
 Row = Dict[str, Any]
@@ -82,12 +90,29 @@ _COMPARE: Dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
-class OracleTable:
-    """One relation: ordered column names plus a list of dict rows."""
+def query_dtype(dtype: DataType) -> np.dtype:
+    """The dtype a column of declared type ``dtype`` has in query
+    answers: CHAR(n) is ``S<n>``, DECIMAL float64, DATE its day number."""
+    if dtype.np_dtype is None:
+        return np.dtype(f"S{dtype.width}")
+    if dtype.name.startswith("DECIMAL"):
+        return np.dtype(np.float64)
+    return np.dtype(dtype.np_dtype)
 
-    def __init__(self, name: str, columns: Tuple[str, ...]):
+
+class OracleTable:
+    """One relation: ordered column names, their declared types, and a
+    list of dict rows."""
+
+    def __init__(
+        self, name: str, columns: Tuple[str, ...], types: Sequence[DataType]
+    ):
         self.name = name
         self.columns = tuple(columns)
+        #: Query-facing dtype per column (see :func:`query_dtype`).
+        self.dtypes: Dict[str, np.dtype] = {
+            c: query_dtype(t) for c, t in zip(self.columns, types)
+        }
         self.rows: List[Row] = []
 
 
@@ -98,6 +123,31 @@ class SqlOracle:
         self.tables: Dict[str, OracleTable] = {}
         #: Statements staged by an explicit BEGIN, applied on COMMIT.
         self._txn: Optional[List[object]] = None
+
+    @classmethod
+    def from_catalog(cls, catalog, snapshot_ts: Optional[int] = None) -> "SqlOracle":
+        """Every table of ``catalog``, decoded as
+        :meth:`~repro.db.exec.result.QueryResult.rows` decodes answers
+        (``tolist`` already drops CHAR padding). MVCC tables keep the
+        rows visible at ``snapshot_ts``; without one, every row slot."""
+        oracle = cls()
+        for table in catalog.tables():
+            schema = table.schema
+            keep = slice(None)
+            if snapshot_ts is not None and schema.mvcc:
+                keep = visible_mask(table.begin_ts, table.end_ts, snapshot_ts)
+            columns = [
+                [v.decode(errors="replace") if isinstance(v, bytes) else v
+                 for v in table.column_values(name)[keep].tolist()]
+                for name in schema.column_names
+            ]
+            oracle.load(
+                schema.name,
+                schema.column_names,
+                (dict(zip(schema.column_names, r)) for r in zip(*columns)),
+                types=[c.dtype for c in schema.user_columns],
+            )
+        return oracle
 
     # ------------------------------------------------------------------
     # Statement entry points.
@@ -145,7 +195,9 @@ class SqlOracle:
             if stmt.name in self.tables:
                 raise SqlError(f"oracle: table {stmt.name!r} exists")
             self.tables[stmt.name] = OracleTable(
-                stmt.name, tuple(name for name, _ in stmt.columns)
+                stmt.name,
+                tuple(name for name, _ in stmt.columns),
+                [parse_type(text) for _, text in stmt.columns],
             )
             return None
         if isinstance(stmt, DropTableStmt):
@@ -153,11 +205,35 @@ class SqlOracle:
             return None
         raise SqlError(f"oracle: unsupported statement {type(stmt).__name__}")
 
-    def load(self, name: str, columns: Tuple[str, ...], rows) -> None:
-        """Register a side table with pre-built rows (non-SQL setup)."""
-        table = OracleTable(name, columns)
+    def load(self, name: str, columns: Tuple[str, ...], rows, types) -> None:
+        """Register a table of declared ``types`` with pre-built rows
+        (non-SQL setup)."""
+        table = OracleTable(name, columns, types)
         table.rows = [dict(r) for r in rows]
         self.tables[name] = table
+
+    def check(self, sql: str, result) -> Optional[str]:
+        """Referee one engine answer to the SELECT ``sql``.
+
+        ``result`` is a :class:`~repro.db.exec.result.QueryResult`.
+        Returns None when its output names, per-column dtypes and values
+        (NaN equal to NaN) all match the oracle, else what differs.
+        """
+        stmt = parse_statement(sql)
+        names, rows = self.select(stmt)
+        if tuple(result.names) != names:
+            return f"names {tuple(result.names)} != oracle {names}"
+        for name, want in zip(names, self.dtypes(stmt)):
+            got = result.columns[name].dtype
+            if got != want:
+                return f"column {name!r} is {got}, oracle expects {want}"
+        got_rows = result.rows()
+        if not rows_equal(got_rows, rows):
+            return (
+                f"rows {got_rows[:5]}... != oracle {rows[:5]}... "
+                f"({len(got_rows)} vs {len(rows)} rows)"
+            )
+        return None
 
     # ------------------------------------------------------------------
     # DML.
@@ -216,6 +292,7 @@ class SqlOracle:
     # ------------------------------------------------------------------
     def select(self, stmt: SelectStmt) -> Tuple[Tuple[str, ...], List[Tuple]]:
         table = self._table(stmt.table)
+        items = self._items(stmt)
         rows: List[Row] = [dict(r) for r in table.rows]
         for clause in stmt.joins:
             right = self._table(clause.table)
@@ -230,18 +307,20 @@ class SqlOracle:
         if stmt.where is not None:
             rows = [r for r in rows if self._eval(stmt.where, r)]
 
-        items = stmt.items
-        if len(items) == 1 and isinstance(items[0].expr, Star):
-            items = tuple(
-                SelectItem(expr=ColumnRef(name)) for name in table.columns
-            )
         names = tuple(self._output_name(item, pos) for pos, item in enumerate(items))
 
         if stmt.group_by or any(isinstance(i.expr, Aggregate) for i in items):
             out_rows = self._aggregate(items, names, stmt.group_by, rows)
         else:
+            # ORDER BY may name FROM columns outside the select list:
+            # each output row carries its source row underneath (outputs
+            # shadow same-named columns). DISTINCT rows cannot.
+            carry = bool(stmt.order_by) and not stmt.distinct
             out_rows = [
-                {n: self._eval(item.expr, r) for n, item in zip(names, items)}
+                {
+                    **(r if carry else {}),
+                    **{n: self._eval(item.expr, r) for n, item in zip(names, items)},
+                }
                 for r in rows
             ]
 
@@ -262,6 +341,53 @@ class SqlOracle:
             stop = None if stmt.limit is None else offset + stmt.limit
             out_rows = out_rows[offset:stop]
         return names, [tuple(r[n] for n in names) for r in out_rows]
+
+    def _items(self, stmt: SelectStmt) -> Tuple[SelectItem, ...]:
+        """The select list with ``*`` expanded to the table's columns."""
+        if len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star):
+            columns = self._table(stmt.table).columns
+            return tuple(SelectItem(expr=ColumnRef(name)) for name in columns)
+        return stmt.items
+
+    def dtypes(self, stmt: SelectStmt) -> Tuple[np.dtype, ...]:
+        """The dtype each output column of ``stmt`` must carry, from the
+        AST and the declared column types alone (so zero-row answers
+        are pinned too): ``count`` is int64, the other aggregates
+        float64; a bare column keeps its query-facing dtype (CHAR(n) is
+        ``S<n>``, DECIMAL float64); ``/`` of integers is float64, and
+        other arithmetic follows NumPy 2 promotion, in which a Python
+        scalar (a literal or a folded scalar subquery) is weak: an int
+        takes the dtype of the column it meets."""
+        scope = dict(self._table(stmt.table).dtypes)
+        for clause in stmt.joins:
+            scope.update(self._table(clause.table).dtypes)
+        out = []
+        for item in self._items(stmt):
+            if isinstance(item.expr, Aggregate):
+                out.append(np.dtype(np.int64 if item.expr.func == "count" else np.float64))
+            else:
+                typed = self._expr_type(item.expr, scope)
+                out.append(typed if isinstance(typed, np.dtype) else np.asarray(typed).dtype)
+        return tuple(out)
+
+    def _expr_type(self, expr: Expr, scope: Dict[str, np.dtype]):
+        """A column-backed expression's dtype, or the Python scalar a
+        column-free one evaluates to (NumPy 2 treats it as weak)."""
+        if isinstance(expr, ColumnRef):
+            try:
+                return scope[expr.name]
+            except KeyError:
+                raise SqlError(f"oracle: no column {expr.name!r} in scope")
+        if isinstance(expr, (Literal, ScalarSubquery)):
+            return self._eval(expr, {})
+        if not isinstance(expr, BinOp):
+            raise SqlError(f"oracle: cannot type {type(expr).__name__}")
+        left = self._expr_type(expr.left, scope)
+        right = self._expr_type(expr.right, scope)
+        if not isinstance(left, np.dtype) and not isinstance(right, np.dtype):
+            return _ARITH[expr.op](left, right)
+        dtype = np.result_type(left, right)
+        return np.dtype(np.float64) if expr.op == "/" and dtype.kind in "iub" else dtype
 
     @staticmethod
     def _output_name(item: SelectItem, pos: int) -> str:
@@ -370,3 +496,27 @@ class SqlOracle:
                 f"{len(names)} columns"
             )
         return rows[0][0]
+
+
+def values_equal(a, b) -> bool:
+    """Exact equality, except that NaN equals NaN."""
+    if (
+        isinstance(a, float)
+        and isinstance(b, float)
+        and math.isnan(a)
+        and math.isnan(b)
+    ):
+        return True
+    return a == b
+
+
+def rows_equal(a: Sequence[Tuple], b: Sequence[Tuple]) -> bool:
+    """Row lists equal in order and value (see :func:`values_equal`)."""
+    if len(a) != len(b):
+        return False
+    for ra, rb in zip(a, b):
+        if len(ra) != len(rb):
+            return False
+        if not all(values_equal(x, y) for x, y in zip(ra, rb)):
+            return False
+    return True

@@ -215,8 +215,14 @@ class TestBatchSpeedup:
             cost = model.sequential(nbytes)
             return time.perf_counter() - t0, (cost.covered, cost.exposed)
 
-        t_batch, c_batch = run(True)
-        t_scalar, c_scalar = run(False)
-        assert c_batch == c_scalar
+        # Interleaved trials, best of each side: one noisy burst on the
+        # host cannot land on only one of them.
+        t_batch = t_scalar = float("inf")
+        for _ in range(3):
+            t, c_batch = run(True)
+            t_batch = min(t_batch, t)
+            t, c_scalar = run(False)
+            t_scalar = min(t_scalar, t)
+            assert c_batch == c_scalar
         speedup = t_scalar / t_batch
         assert speedup > 5.0, f"batch only {speedup:.1f}x faster"

@@ -454,7 +454,8 @@ class TestDisarmedFastPath:
 
     def test_disarmed_overhead_below_five_percent(self):
         """The disarmed predicate on the transform hot path costs <5%
-        versus no injector at all (min-of-trials to suppress CI noise)."""
+        versus no injector at all (min of interleaved trials to suppress
+        host noise)."""
         import time as _time
 
         baseline = RelationalMemoryEngineModel(default_platform())
@@ -470,6 +471,11 @@ class TestDisarmedFastPath:
             return _time.perf_counter() - t0
 
         _trial(baseline), _trial(disarmed)  # warm-up
-        base = min(_trial(baseline) for _ in range(5))
-        gated = min(_trial(disarmed) for _ in range(5))
+        # Interleave the sides (A, B, A, B, ...) so a noisy burst on the
+        # host hits both, then compare the best trial of each.
+        base_times, gated_times = [], []
+        for _ in range(5):
+            base_times.append(_trial(baseline))
+            gated_times.append(_trial(disarmed))
+        base, gated = min(base_times), min(gated_times)
         assert gated < base * 1.05, f"disarmed overhead {gated / base - 1:.1%}"

@@ -1,12 +1,12 @@
 """Differential SQL fuzzing through the statement pipeline.
 
 Hypothesis draws seeds; each seed drives a random statement stream
-(DML, transactions, joins, grouping, subqueries) through the vector
-engine, the volcano engine, a determinism twin, the scatter-gather
-cluster (where the statement fits its dialect), and the brute-force
-dict-row oracle — every answer must agree, byte-identically between
-engine modes. ``python -m repro.chaos --mode sql-fuzz`` runs the same
-harness with WAL crash points in CI.
+(DML, transactions, joins, grouping, subqueries) through the engine, a
+determinism twin, the scatter-gather cluster (where the statement fits
+its dialect), and the brute-force dict-row oracle — every answer must
+match the oracle's names, dtypes and values, and the twins' ledgers
+must match bucket for bucket. ``python -m repro.chaos --mode sql-fuzz``
+runs the same harness with WAL crash points in CI.
 """
 
 import math
@@ -150,3 +150,24 @@ def test_generator_emits_only_valid_sql():
         parse_statement(gen.insert())
         parse_statement(gen.update())
         parse_statement(gen.delete())
+
+
+def test_generator_orders_by_unselected_columns():
+    """One SELECT shape orders by a column outside the select list, then
+    by every output, so the oracle's hidden-key sort stays exercised."""
+    import random
+
+    from repro.db.sql.parser import parse_statement
+
+    gen = StatementGen(random.Random(11))
+    hidden = 0
+    for _ in range(200):
+        stmt = parse_statement(gen.select().sql)
+        outputs = {item.alias for item in stmt.items}
+        if stmt.order_by and not stmt.distinct and not stmt.group_by:
+            first = stmt.order_by[0].expr
+            if getattr(first, "name", None) not in outputs:
+                hidden += 1
+                keys = [getattr(o.expr, "name", None) for o in stmt.order_by[1:]]
+                assert set(keys) == outputs
+    assert hidden > 0

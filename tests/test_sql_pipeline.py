@@ -46,20 +46,6 @@ def test_select_returns_rows_and_names(session):
     assert result.cycles > 0
 
 
-def test_volcano_and_vector_sessions_agree():
-    answers = []
-    for mode in ("volcano", "vector"):
-        s = Session(exec_mode=mode)
-        _seed(s)
-        r = s.execute("SELECT id AS c0, v * 2 AS c1 FROM t ORDER BY c0 DESC")
-        answers.append((r.names, r.rows))
-        s.close()
-    assert answers[0] == answers[1] == (
-        ("c0", "c1"),
-        [(3, 60), (2, 40), (1, 20)],
-    )
-
-
 def test_scalar_subquery_folds_and_counts(session):
     result = session.execute(
         "SELECT id AS c0 FROM t WHERE v > (SELECT avg(v) FROM t) ORDER BY c0"
@@ -153,6 +139,33 @@ def test_explain_select_shows_access_path(session):
     plan = session.execute("EXPLAIN SELECT id FROM t WHERE v > 15").plan
     assert result.rows == [(2,), (3,)]
     assert plan and "Scan" in plan
+
+
+def test_plain_select_renders_the_plan_once(session, monkeypatch):
+    """The optimizer's plan text is lazy: a plain SELECT renders only the
+    engine's plan, and EXPLAIN renders the optimizer's, unchanged."""
+    from repro.db.engines import base
+    from repro.db.plan import logical, optimizer
+    from repro.db.plan.binder import bind
+    from repro.db.sql.parser import parse
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return logical.explain(*args, **kwargs)
+
+    for module in (base, optimizer):
+        monkeypatch.setattr(module, "explain", spy)
+    session.execute("SELECT id FROM t WHERE v > 15")
+    assert len(calls) == 1
+    calls.clear()
+    plan = session.execute("EXPLAIN SELECT id FROM t WHERE v > 15").plan
+    assert len(calls) == 1
+    bound = bind(parse("SELECT id FROM t WHERE v > 15"), session.catalog)
+    decision = session.optimizer.choose(bound)
+    path = decision.estimates[decision.winner].access_path
+    assert plan == logical.explain(bound, access_path=path)
 
 
 def test_explain_analyze_requires_a_tracer(session):

@@ -1,10 +1,10 @@
-"""Property tests for the vectorized execution path (ISSUE 7).
+"""Property tests for the vectorized execution path.
 
-The contract under test: for every query shape, layout, exec mode, and
-MVCC snapshot, the vectorized fused-kernel path and the scalar Volcano
-reference produce **bit-identical** answers — and in trace mode the two
-exec modes of one engine charge identical cycles and touch the hardware
-model identically (cost recipes never depend on the answer path).
+The contract under test: for every query shape and join strategy, the
+vectorized fused-kernel path produces the dict-row SQL oracle's answer —
+the same output names, per-column dtypes (CHAR width and zero-row
+answers included) and values — and forced join strategies, cached
+kernels and fresh kernels agree bit for bit.
 """
 
 import numpy as np
@@ -23,11 +23,11 @@ from repro.db.exec.vector import (
     join_indices,
     run_vector,
 )
-from repro.db.exec.volcano import run_volcano
 from repro.db.mvcc import TransactionManager
 from repro.db.plan import bind
 from repro.db.plan.codecache import CodeFragmentCache
 from repro.db.sql import parse
+from repro.db.sql.oracle import SqlOracle
 from repro.db.types import CHAR, DECIMAL, INT32, INT64
 from repro.core.ledger import CostLedger
 from repro.hw.config import TEST_PLATFORM
@@ -36,18 +36,12 @@ ENGINES = (RowStoreEngine, ColumnStoreEngine, RelationalMemoryEngine)
 
 
 def assert_same_result(a, b, context=""):
-    """Bit-identical comparison (dataclass ``==`` chokes on arrays).
-
-    Byte-string columns may differ in declared width (the Volcano path
-    re-packs scalars); numpy's elementwise comparison is padding-blind,
-    which matches the executors' own semantics.
-    """
+    """Bit-identical comparison (dataclass ``==`` chokes on arrays)."""
     assert a.names == b.names, f"{context}: {a.names} != {b.names}"
     for n in a.names:
         x, y = a.columns[n], b.columns[n]
         assert len(x) == len(y), f"{context}: column {n} length {len(x)} != {len(y)}"
-        if x.dtype.kind != "S" or y.dtype.kind != "S":
-            assert x.dtype == y.dtype, f"{context}: column {n} {x.dtype} != {y.dtype}"
+        assert x.dtype == y.dtype, f"{context}: column {n} {x.dtype} != {y.dtype}"
         if x.dtype.kind == "f":
             assert np.array_equal(x, y, equal_nan=True), f"{context}: column {n}"
         else:
@@ -114,6 +108,12 @@ def make_star(seed=7, n_fact=400, n_dim1=40, n_dim2=12):
 
 
 STAR_CATALOG, STAR_FACT = make_star()
+STAR_ORACLE = SqlOracle.from_catalog(STAR_CATALOG)
+
+
+def assert_oracle_answer(result, sql):
+    problem = STAR_ORACLE.check(sql, result)
+    assert problem is None, f"{sql}: {problem}"
 
 _JOINS = [
     "",
@@ -168,14 +168,15 @@ def star_queries(draw):
 
 
 class TestVectorVsVolcanoProperty:
+    """Random star queries refereed by the oracle (the class keeps its
+    name so test ids stay stable)."""
+
     @given(star_queries())
     @settings(max_examples=60, deadline=None)
     def test_random_queries_bit_identical(self, sql):
         bound = bind(parse(sql), STAR_CATALOG)
         cols = {n: STAR_FACT.column_values(n) for n in bound.referenced_columns}
-        vec = run_vector(bound, cols)
-        vol = run_volcano(bound, cols)
-        assert_same_result(vec, vol, context=sql)
+        assert_oracle_answer(run_vector(bound, cols), sql)
 
     @given(star_queries(), st.sampled_from(["probe", "merge"]))
     @settings(max_examples=30, deadline=None)
@@ -244,14 +245,13 @@ class TestJoinIndices:
 
 
 class TestEmptyAggregates:
-    """Satellite 2: empty-input semantics pinned to the Volcano reference."""
+    """Empty-input semantics and dtypes pinned to the SQL oracle."""
 
     def _run_both(self, sql):
         bound = bind(parse(sql), STAR_CATALOG)
         cols = {n: STAR_FACT.column_values(n) for n in bound.referenced_columns}
         vec = run_vector(bound, cols)
-        vol = run_volcano(bound, cols)
-        assert_same_result(vec, vol, context=sql)
+        assert_oracle_answer(vec, sql)
         return vec
 
     def test_global_aggregates_over_zero_rows(self):
@@ -282,30 +282,9 @@ class TestEmptyAggregates:
 
 
 class TestEngineTraceBitIdentity:
-    """Vector and volcano modes of one engine: identical rows, cycles,
-    ledger buckets, and hardware counters in trace mode."""
-
-    SQL = (
-        "SELECT cat, sum(val * qty) AS rev, count(*) AS n FROM fact "
-        "JOIN dim1 ON k1 = d1_key WHERE qty > 8 AND d1_w > 1 "
-        "GROUP BY cat ORDER BY rev DESC"
-    )
-
-    @pytest.mark.parametrize("engine_cls", ENGINES)
-    def test_modes_identical(self, engine_cls):
-        results = {}
-        for mode in ("vector", "volcano"):
-            engine = engine_cls(
-                STAR_CATALOG, TEST_PLATFORM, memory_model="trace", exec_mode=mode
-            )
-            res = engine.execute(self.SQL)
-            results[mode] = (res, engine.memory.hierarchy.counters())
-        vec, vec_hw = results["vector"]
-        vol, vol_hw = results["volcano"]
-        assert_same_result(vec.result, vol.result, context=engine_cls.name)
-        assert vec.ledger.buckets == vol.ledger.buckets
-        assert vec.cycles == vol.cycles
-        assert vec_hw == vol_hw
+    """The analytic and trace memory models of one engine: identical rows
+    at every MVCC snapshot, and a trace-mode twin with identical rows,
+    ledger buckets and cycles."""
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_modes_identical_under_mvcc_snapshot(self, engine_cls):
@@ -319,7 +298,7 @@ class TestEngineTraceBitIdentity:
         manager = TransactionManager()
         rng = np.random.default_rng(3)
         snapshots = []
-        for batch in range(4):
+        for _ in range(4):
             txn = manager.begin()
             for _ in range(25):
                 txn.insert(
@@ -327,7 +306,7 @@ class TestEngineTraceBitIdentity:
                     {
                         "acct": int(rng.integers(0, 10)),
                         "amount": int(rng.integers(1, 1000)),
-                        "tag": rng.choice(["aa", "bb"]),
+                        "tag": str(rng.choice(["aa", "bb"])),
                     },
                 )
             manager.commit(txn)
@@ -340,20 +319,29 @@ class TestEngineTraceBitIdentity:
             "SELECT acct, sum(amount) AS s, count(*) AS n FROM ledger_t "
             "WHERE tag = 'aa' GROUP BY acct ORDER BY acct"
         )
+        sizes = []
         for snapshot_ts in snapshots:
-            ref = None
-            for mode in ("vector", "volcano"):
-                engine = engine_cls(
-                    catalog, TEST_PLATFORM, memory_model="trace", exec_mode=mode
+            context = f"{engine_cls.name} ts={snapshot_ts}"
+            analytic = engine_cls(catalog, TEST_PLATFORM).execute(
+                sql, snapshot_ts=snapshot_ts
+            )
+            trace, twin = (
+                engine_cls(catalog, TEST_PLATFORM, memory_model="trace").execute(
+                    sql, snapshot_ts=snapshot_ts
                 )
-                res = engine.execute(sql, snapshot_ts=snapshot_ts)
-                if ref is None:
-                    ref = res
-                else:
-                    assert_same_result(
-                        ref.result, res.result, context=f"ts={snapshot_ts}"
-                    )
-                    assert ref.ledger.buckets == res.ledger.buckets
+                for _ in range(2)
+            )
+            assert_same_result(analytic.result, trace.result, context=context)
+            assert_same_result(trace.result, twin.result, context=context)
+            assert trace.ledger.buckets == twin.ledger.buckets
+            assert trace.cycles == twin.cycles
+            oracle = SqlOracle.from_catalog(catalog, snapshot_ts=snapshot_ts)
+            rows = oracle.tables["ledger_t"].rows
+            assert all(r["amount"] < 10_000 for r in rows), context
+            sizes.append(len(rows))
+            problem = oracle.check(sql, trace.result)
+            assert problem is None, f"{context}: {problem}"
+        assert sizes == [25, 50, 75, 100]
         # Later snapshots see strictly more rows.
         engine = engine_cls(catalog, TEST_PLATFORM)
         counts = [
@@ -396,15 +384,6 @@ class TestCodeCache:
             reference = plain.execute(sql)
             assert_same_result(cached.result, reference.result, context=sql)
         assert cache.stats.misses == 1 and cache.stats.hits == 2
-
-    def test_vector_mode_required(self):
-        cache = CodeFragmentCache()
-        engine = RowStoreEngine(
-            STAR_CATALOG, TEST_PLATFORM, exec_mode="volcano", codecache=cache
-        )
-        engine.execute(self.SQL)
-        # The volcano path never consults the fragment cache.
-        assert cache.stats.lookups == 0
 
     def test_codecache_metrics_collector(self):
         from repro.obs import MetricsRegistry
