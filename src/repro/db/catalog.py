@@ -8,7 +8,7 @@ relation, with optional indexes registered beside it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.db.schema import TableSchema
 from repro.db.table import Table
@@ -22,6 +22,9 @@ class Catalog:
         self._tables: Dict[str, Table] = {}
         self._indexes: Dict[str, Dict[str, object]] = {}
         self._stats: Dict[str, object] = {}
+        #: Decode-cache hits/misses of dropped tables, so the catalog's
+        #: totals (:meth:`decode_counts`) never decrease.
+        self._dropped_decodes = (0, 0)
 
     def create_table(self, schema: TableSchema) -> Table:
         if schema.name in self._tables:
@@ -50,7 +53,11 @@ class Catalog:
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise SchemaError(f"no table named {name!r}")
-        del self._tables[name]
+        table = self._tables.pop(name)
+        hits, misses = self._dropped_decodes
+        self._dropped_decodes = (
+            hits + table.decode_hits, misses + table.decode_misses
+        )
         del self._indexes[name]
         self._stats.pop(name, None)
 
@@ -81,6 +88,15 @@ class Catalog:
 
     def tables(self) -> Iterator[Table]:
         return iter(self._tables.values())
+
+    def decode_counts(self) -> Tuple[int, int]:
+        """Decoded-column cache ``(hits, misses)`` summed over every table
+        this catalog has held, dropped ones included."""
+        hits, misses = self._dropped_decodes
+        for table in self._tables.values():
+            hits += table.decode_hits
+            misses += table.decode_misses
+        return hits, misses
 
     def __contains__(self, name: str) -> bool:
         return name in self._tables

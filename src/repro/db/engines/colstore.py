@@ -41,7 +41,6 @@ class ColumnarReplica:
 
     def __init__(self, table: Table):
         self.table = table
-        self._columns: Dict[str, np.ndarray] = {}
         self._synced_version: int = -1
         self.synced_rows: int = 0
         self.sync_count: int = 0
@@ -57,11 +56,10 @@ class ColumnarReplica:
         return self.table.nrows - self.synced_rows
 
     def sync(self) -> None:
-        """Rebuild the columnar copy from the row image."""
+        """Mark the columnar copy rebuilt from the row image. The
+        conversion is simulated (:meth:`conversion_cost_cycles`); on the
+        host the columns are the table's own decoded-column cache."""
         table = self.table
-        self._columns = {
-            c.name: np.copy(table.column_values(c.name)) for c in table.schema.columns
-        }
         self._synced_version = table.version
         self.synced_rows = table.nrows
         self.sync_count += 1
@@ -72,7 +70,7 @@ class ColumnarReplica:
                 f"columnar replica of {self.table.schema.name!r} is stale; "
                 "sync() first (the engine does this automatically)"
             )
-        return self._columns[name]
+        return self.table.column_values(name)
 
     def conversion_cost_cycles(self, engine: "ColumnStoreEngine") -> float:
         """Simulated cost of one full layout conversion: read the row

@@ -166,8 +166,7 @@ class Transaction:
             raise
 
     def _check_updatable(self, table: Table, slot: int) -> None:
-        begin = int(table.begin_ts[slot])
-        end = int(table.end_ts[slot])
+        begin, end = table.stamps(slot)
         own_slots = {
             i.new_slot for i in self._intents if i.table is table and i.new_slot is not None
         }
@@ -349,7 +348,7 @@ class TransactionManager:
             # still be live (no one committed an ending in between).
             for intent in txn._intents:
                 if intent.old_slot is not None:
-                    end = int(intent.table.end_ts[intent.old_slot])
+                    _, end = intent.table.stamps(intent.old_slot)
                     if end != LIVE_TS:
                         self.stats.conflicts += 1
                         span.set_attrs(conflict=True)

@@ -13,7 +13,7 @@ begin/end timestamp stamps; the transaction manager in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -33,16 +33,27 @@ class Table:
         self._frame = np.zeros((max(capacity, 1), schema.row_stride), dtype=np.uint8)
         self.nrows = 0
         #: Monotonic mutation counter; columnar replicas compare against it
-        #: to detect staleness (the HTAP freshness story).
+        #: to detect staleness (the HTAP freshness story). Every mutator
+        #: bumps it, which is what keeps the decoded-column cache sound.
         self.version = 0
+        #: Decoded columns of ``_cache_version``, keyed ``(name, values)``;
+        #: dropped on the first lookup after ``version`` moves.
+        self._cache: Dict[Tuple[str, bool], np.ndarray] = {}
+        self._cache_version = 0
+        #: Lookups answered from the cache / cache entries built.
+        self.decode_hits = 0
+        self.decode_misses = 0
 
     # ------------------------------------------------------------------
     # Storage management.
     # ------------------------------------------------------------------
     @property
     def frame(self) -> np.ndarray:
-        """The live row image, ``(nrows, row_stride)`` uint8."""
-        return self._frame[: self.nrows]
+        """The live row image, ``(nrows, row_stride)`` uint8, read-only:
+        only the version-bumping mutators below may write it."""
+        view = self._frame[: self.nrows]
+        view.flags.writeable = False
+        return view
 
     @property
     def nbytes(self) -> int:
@@ -136,17 +147,48 @@ class Table:
     # ------------------------------------------------------------------
     def column(self, name: str) -> np.ndarray:
         """Raw stored values of one column over live rows (scaled ints for
-        DECIMAL, day numbers for DATE, ``(n, w)`` uint8 for CHAR)."""
-        return decode_frame_field(self.frame, self.schema.full_geometry(), name)
+        DECIMAL, day numbers for DATE, ``(n, w)`` uint8 for CHAR).
+
+        Decoded at most once per table version: the result is shared by
+        every caller until the next mutation, so it is read-only.
+        """
+        return self._cached(
+            (name, False),
+            lambda: decode_frame_field(self.frame, self.schema.full_geometry(), name),
+        )
 
     def column_values(self, name: str) -> np.ndarray:
         """Query-facing values: DECIMAL rescaled to floats, CHAR as fixed
-        byte strings (``S<width>``), DATE as day numbers."""
-        col = self.schema.column(name)
-        raw = self.column(name)
-        if col.dtype.np_dtype is None:
-            return raw.view(f"S{col.dtype.width}").reshape(-1)
-        return col.dtype.decode_array(raw)
+        byte strings (``S<width>``), DATE as day numbers.
+
+        Shared and read-only like :meth:`column`, and a view of it except
+        for DECIMAL, which keeps its own float array.
+        """
+
+        def build() -> np.ndarray:
+            dtype = self.schema.column(name).dtype
+            raw = self.column(name)
+            if dtype.np_dtype is None:
+                return raw.view(f"S{dtype.width}").reshape(-1)
+            return dtype.decode_array(raw)
+
+        return self._cached((name, True), build)
+
+    def _cached(
+        self, key: Tuple[str, bool], build: Callable[[], np.ndarray]
+    ) -> np.ndarray:
+        if self._cache_version != self.version:
+            self._cache = {}
+            self._cache_version = self.version
+        out = self._cache.get(key)
+        if out is not None:
+            self.decode_hits += 1
+            return out
+        out = build()
+        out.flags.writeable = False
+        self._cache[key] = out
+        self.decode_misses += 1
+        return out
 
     def row(self, i: int) -> Dict[str, Any]:
         """One row decoded to Python values (user columns only)."""
@@ -280,6 +322,18 @@ class Table:
     def end_ts(self) -> np.ndarray:
         self._require_mvcc()
         return self.column(MVCC_END)
+
+    def stamps(self, i: int) -> Tuple[int, int]:
+        """``(begin_ts, end_ts)`` of slot ``i``, read straight from its 16
+        stamp bytes: O(1), where ``begin_ts[i]`` decodes a whole column
+        whenever the version has moved."""
+        self._require_mvcc()
+        if not 0 <= i < self.nrows:
+            raise IndexError(i)
+        row = self._frame[i]
+        b = self.schema.offset_of(MVCC_BEGIN)
+        e = self.schema.offset_of(MVCC_END)
+        return int(row[b : b + 8].view("<i8")[0]), int(row[e : e + 8].view("<i8")[0])
 
     def stamp_begin(self, i: int, ts: int) -> None:
         self._require_mvcc()

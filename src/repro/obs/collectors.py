@@ -377,7 +377,8 @@ def register_sql(registry: MetricsRegistry, session, **labels: Any) -> None:
     :class:`~repro.db.sql.pipeline.Session`.
 
     Monotone ``sql_*_total`` counters for statements by kind, errors and
-    rows moved, plus the session's transaction view: commit/conflict
+    rows moved, decoded-column cache hits/misses summed over the
+    session's catalog, plus the session's transaction view: commit/conflict
     totals read off the MVCC manager and an ``sql_txn_open`` gauge (0/1 —
     is an explicit transaction open right now).
     """
@@ -385,6 +386,7 @@ def register_sql(registry: MetricsRegistry, session, **labels: Any) -> None:
     def collect() -> Dict[str, float]:
         s = session.stats
         m = session.manager.stats
+        hits, misses = session.catalog.decode_counts()
         return {
             fmt_name("sql_statements_total", **labels): float(s.statements),
             fmt_name("sql_selects_total", **labels): float(s.selects),
@@ -406,6 +408,8 @@ def register_sql(registry: MetricsRegistry, session, **labels: Any) -> None:
             fmt_name("sql_subqueries_folded_total", **labels): float(
                 s.subqueries_folded
             ),
+            fmt_name("sql_decode_cache_hits_total", **labels): float(hits),
+            fmt_name("sql_decode_cache_misses_total", **labels): float(misses),
             fmt_name("sql_txn_commits_total", **labels): float(m.committed),
             fmt_name("sql_txn_conflicts_total", **labels): float(m.conflicts),
             fmt_name("sql_txn_open", **labels): float(session.in_transaction),

@@ -231,6 +231,13 @@ class TestMetricsSchemaCheck:
         assert proc.returncode == 1
         assert "counter decreased" in proc.stderr
 
+    def test_sql_decode_cache_miss_decrease_fails(self, tmp_path):
+        doc = self._valid_doc()
+        doc["series"] = {"sql_decode_cache_misses_total": [5.0, 4.0]}
+        proc = self._check(tmp_path, doc)
+        assert proc.returncode == 1
+        assert "counter decreased" in proc.stderr
+
     def test_sql_negative_sample_fails(self, tmp_path):
         doc = self._valid_doc()
         doc["series"] = {"sql_rows_returned_total": [-1.0, 0.0]}

@@ -15,6 +15,7 @@ from repro.db.wal import WriteAheadLog, recover
 from repro.errors import SqlError
 from repro.obs import MetricsRegistry, Tracer
 from repro.storage.ssd import SsdLog
+from repro.workloads.tpch import Q6
 
 
 def _seed(s: Session) -> None:
@@ -231,6 +232,48 @@ def test_sql_metrics_series_track_the_session():
     s.execute("ROLLBACK")
     assert registry.collect()["sql_txn_open"] == 0.0
     s.close()
+
+
+def test_decode_cache_misses_only_after_a_write():
+    """Repeating a SELECT over an unchanged table decodes nothing new;
+    an UPDATE moves the table version, so the next SELECT misses again."""
+    registry = MetricsRegistry()
+    s = Session(metrics=registry)
+    s.execute(
+        "CREATE TABLE lineitem (l_orderkey INT64, l_quantity DECIMAL(2), "
+        "l_extendedprice DECIMAL(2), l_discount DECIMAL(2), l_shipdate DATE)"
+    )
+    s.execute(
+        "INSERT INTO lineitem (l_orderkey, l_quantity, l_extendedprice, "
+        "l_discount, l_shipdate) VALUES "
+        "(1, 10, 100.5, 0.06, date '1994-03-01'), "
+        "(2, 30, 50, 0.06, date '1994-03-01'), "
+        "(3, 5, 20, 0.05, date '1994-06-01')"
+    )
+
+    def misses():
+        return registry.collect()["sql_decode_cache_misses_total"]
+
+    first = s.execute(Q6).rows
+    after_first = misses()
+    assert after_first > 0
+    for _ in range(2):
+        assert s.execute(Q6).rows == first
+    assert misses() == after_first
+    assert registry.collect()["sql_decode_cache_hits_total"] > 0
+    s.execute("UPDATE lineitem SET l_quantity = 1 WHERE l_orderkey = 2")
+    after_update = misses()
+    assert s.execute(Q6).rows != first
+    assert misses() > after_update
+    s.close()
+
+
+def test_decode_cache_totals_survive_drop_table(session):
+    session.execute("SELECT sum(v) AS s FROM t")
+    before = session.catalog.decode_counts()
+    assert before[1] > 0
+    session.execute("DROP TABLE t")
+    assert session.catalog.decode_counts() == before
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mvcc_filter import LIVE_TS, NEVER_TS
+from repro.core.packer import decode_frame_field
 from repro.db import Catalog, Column, Table, TableSchema
+from repro.db.schema import MVCC_BEGIN, MVCC_END
 from repro.db.types import CHAR, DECIMAL, INT32, INT64
 from repro.errors import SchemaError
 
@@ -40,14 +42,6 @@ class TestAppendRow:
             table.append_row({"id": i, "name": "x", "price": 1.0, "qty": i})
         assert table.nrows == 100
         assert table.column_values("qty").tolist() == list(range(100))
-
-    def test_version_bumps_on_mutation(self):
-        table = Table(SCHEMA)
-        v0 = table.version
-        table.append_row({"id": 1, "name": "a", "price": 1.0, "qty": 1})
-        v1 = table.version
-        table.set_value(0, "qty", 9)
-        assert v0 < v1 < table.version
 
 
 class TestBulkLoad:
@@ -156,6 +150,123 @@ class TestMvccColumns:
         table.append_row({"a": 1})
         with pytest.raises(SchemaError):
             table.retain(np.array([True, False]))
+
+
+MVCC_SCHEMA = TableSchema("m", SCHEMA.user_columns, mvcc=True)
+
+
+def _row(i):
+    return {"id": i, "name": f"r{i}", "price": i + 0.25, "qty": 10 * i}
+
+
+def _arrays(ids):
+    return {
+        "id": np.array(ids),
+        "name": np.array([b"b%d" % i for i in ids], dtype="S4"),
+        "price": np.array([100 * i for i in ids]),
+        "qty": np.array(ids, dtype=np.int32),
+    }
+
+
+#: Every mutator of a Table, each applied to the 4-row fixture below.
+MUTATIONS = {
+    "append_row": lambda t: t.append_row(_row(9)),
+    "append_rows": lambda t: t.append_rows([_row(7), _row(8)]),
+    "append_arrays": lambda t: t.append_arrays(_arrays([5, 6])),
+    "set_value": lambda t: t.set_value(1, "qty", 99),
+    "stamp_begin": lambda t: t.stamp_begin(1, 7),
+    "stamp_end": lambda t: t.stamp_end(2, 8),
+    "write_row_bytes": lambda t: t.write_row_bytes(0, t.row_bytes(3)),
+    "pad_to": lambda t: t.pad_to(t.nrows + 3),
+    "retain": lambda t: t.retain(np.array([True, False, True, True])),
+}
+
+
+def _stamped_table():
+    table = Table(MVCC_SCHEMA)
+    table.append_rows([_row(i) for i in range(4)])
+    for i in range(4):
+        table.stamp_begin(i, i + 1)
+    return table
+
+
+def _read_all(table):
+    return [
+        (name, table.column(name), table.column_values(name))
+        for name in (c.name for c in table.schema.columns)
+    ]
+
+
+def _assert_reads_fresh(table):
+    """Cached reads equal a fresh decode of the frame, repeat reads share
+    one read-only object, and the O(1) stamps agree with the columns."""
+    geometry = table.schema.full_geometry()
+    twin = Table.restore(table.schema, table.frame.tobytes(), table.nrows)
+    for name, raw, values in _read_all(table):
+        np.testing.assert_array_equal(
+            raw, decode_frame_field(table.frame, geometry, name)
+        )
+        np.testing.assert_array_equal(values, twin.column_values(name))
+        assert table.column(name) is raw
+        assert table.column_values(name) is values
+        for arr in (raw, values):
+            with pytest.raises(ValueError):
+                arr[:1] = arr[:1]
+    for stamps, name in ((table.begin_ts, MVCC_BEGIN), (table.end_ts, MVCC_END)):
+        np.testing.assert_array_equal(
+            stamps, decode_frame_field(table.frame, geometry, name)
+        )
+    assert [table.stamps(i) for i in range(table.nrows)] == list(
+        zip(table.begin_ts.tolist(), table.end_ts.tolist())
+    )
+
+
+class TestDecodeCache:
+    @pytest.mark.parametrize("mutate", list(MUTATIONS.values()), ids=list(MUTATIONS))
+    def test_version_bumps_on_mutation(self, mutate):
+        table = _stamped_table()
+        _assert_reads_fresh(table)  # warm the cache with the old version
+        version, misses = table.version, table.decode_misses
+        mutate(table)
+        assert table.version > version
+        _assert_reads_fresh(table)
+        assert table.decode_misses > misses
+
+    def test_unchanged_table_decodes_once(self):
+        table = _stamped_table()
+        _read_all(table)
+        misses, hits = table.decode_misses, table.decode_hits
+        _read_all(table)
+        assert table.decode_misses == misses
+        assert table.decode_hits == hits + 2 * len(MVCC_SCHEMA.columns)
+
+    def test_restore_round_trip(self):
+        table = _stamped_table()
+        _read_all(table)
+        clone = Table.restore(
+            table.schema, table.frame.tobytes(), table.nrows, table.version
+        )
+        assert clone.version == table.version
+        _assert_reads_fresh(clone)
+        for name, raw, values in _read_all(table):
+            np.testing.assert_array_equal(clone.column(name), raw)
+            np.testing.assert_array_equal(clone.column_values(name), values)
+        clone.set_value(0, "qty", -1)
+        _assert_reads_fresh(clone)
+        assert clone.column_values("qty")[0] == -1
+        assert table.column_values("qty")[0] == 0
+
+    def test_frame_is_read_only(self):
+        table = _stamped_table()
+        with pytest.raises(ValueError):
+            table.frame[0, 0] = 1
+
+    def test_stamps_bounds(self):
+        table = _stamped_table()
+        with pytest.raises(IndexError):
+            table.stamps(table.nrows)
+        with pytest.raises(SchemaError):
+            Table(SCHEMA).stamps(0)
 
 
 class TestProperties:
